@@ -7,7 +7,6 @@
 #   ubsan_smoke  undefined + GATHER_CHECK contracts  test_geometry, test_sim
 #   asan_smoke   address                             test_obs, test_campaign_service
 #   tsan_smoke   thread                              test_runner, test_campaign_service,
-#                                                    test_kernels (sharded view fill),
 #                                                    gather_campaignd + daemon_stress.py
 #
 # A sanitizer the compiler cannot link is probed at configure time; its row
@@ -71,8 +70,8 @@ if(NOT GATHER_HAS_ASAN)
 endif()
 
 _gather_smoke(tsan_smoke thread OFF
-  "test_runner,test_campaign_service,test_kernels,gather_campaignd"
-  "tests/test_runner,tests/test_campaign_service,tests/test_kernels"
+  "test_runner,test_campaign_service,gather_campaignd"
+  "tests/test_runner,tests/test_campaign_service"
   ${CMAKE_SOURCE_DIR}/tools/service/daemon_stress.py
   tools/gather_campaignd)
 if(NOT GATHER_HAS_TSAN)

@@ -183,10 +183,8 @@ detect_quasi_regularity_uncached(const configuration& c);
 // shared pairwise-distance table (one hypot per unordered pair).  Each slot
 // ends up bit-identical to what view_of_uncached would produce for it;
 // all_views serves references straight from the slots afterwards.  The fill
-// runs through the batch kernels (geometry/kernels.h) and, when
-// config::geometry_jobs() > 1, shards table rows and observers across the
-// pool with fixed boundaries -- output bytes are invariant across job
-// counts and dispatch paths.
+// runs sequentially on the calling thread through the batch kernels
+// (geometry/kernels.h); output bytes are invariant across dispatch paths.
 void fill_all_view_slots(const configuration& c);
 // The pre-kernel bulk fill (sequential, scalar pipeline), kept verbatim as
 // the equivalence oracle and bench baseline: fill_all_view_slots must leave

@@ -10,13 +10,11 @@
 #include <type_traits>
 
 #include "config/derived.h"
-#include "config/parallel.h"
 #include "geometry/angles.h"
 #include "geometry/cyclic.h"
 #include "geometry/kernels.h"
 #include "util/check.h"
 #include "util/radix.h"
-#include "util/thread_pool.h"
 
 namespace gather::config {
 
@@ -170,9 +168,9 @@ void view_with_reference_into(const configuration& c, vec2 p, vec2 ref,
   }
 }
 
-/// Thread-local scratch of the kernel-based fill pipeline.  One instance per
-/// worker: the parallel fill runs one observer pipeline per shard entry, so
-/// nothing here is shared across threads.
+/// Scratch of the kernel-based fill pipeline, reused across observers and
+/// fills.  The fill keeps one instance per thread, so configurations filled
+/// concurrently on different threads (campaign workers) never share it.
 struct fill_scratch {
   std::vector<double> cr, dt, angles;    // per-location, k entries
   std::vector<double> dists;             // per-tag, normalized in place
@@ -561,67 +559,46 @@ void fill_all_view_slots(const configuration& c) {
   const double r = std::max(c.sec().radius, 1e-300);
   const double* xs = c.occupied_xs().data();
   const double* ys = c.occupied_ys().data();
-  util::thread_pool* pool = geometry_pool();
   // Shared pairwise-distance table: one hypot per unordered pair, mirrored
   // (hypot is sign-symmetric, so the transposed entry is bit-equal to what
-  // the per-view computation would produce).  Parallel builds stride rows by
-  // shard index -- a fixed assignment balancing the triangle -- and every
-  // table element is written by exactly one shard, so the bytes match the
-  // sequential build.
+  // the per-view computation would produce).
   std::vector<double>& dists = d.scratch_dists;
   dists.resize(k * k);
-  const auto table_rows = [&](std::size_t row0, std::size_t stride) {
-    for (std::size_t i = row0; i < k; i += stride) {
-      dists[i * k + i] = 0.0;  // only the diagonal needs zeroing
-      geom::kernels::distance_row(xs + i + 1, ys + i + 1, k - i - 1, xs[i],
-                                  ys[i], &dists[i * k + i + 1]);
-    }
-  };
+  for (std::size_t i = 0; i < k; ++i) {
+    dists[i * k + i] = 0.0;  // only the diagonal needs zeroing
+    geom::kernels::distance_row(xs + i + 1, ys + i + 1, k - i - 1, xs[i], ys[i],
+                                &dists[i * k + i + 1]);
+  }
   // Mirror pass, tiled: the naive per-element transpose strides the whole
   // table by k doubles per read and misses cache on every one of them; T*T
   // tiles keep both the source rows and the destination columns resident.
-  // Band b owns destination columns [b*T, b*T + T), so every mirrored
-  // element is written by exactly one band regardless of sharding.
   constexpr std::size_t mirror_tile = 64;
-  const std::size_t bands = (k + mirror_tile - 1) / mirror_tile;
-  const auto mirror_bands = [&](std::size_t band0, std::size_t stride) {
-    for (std::size_t band = band0; band < bands; band += stride) {
-      const std::size_t bi = band * mirror_tile;
-      const std::size_t ei = std::min(bi + mirror_tile, k);
-      for (std::size_t bj = bi; bj < k; bj += mirror_tile) {
-        const std::size_t ej = std::min(bj + mirror_tile, k);
-        for (std::size_t i = bi; i < ei; ++i) {
-          for (std::size_t j = std::max(bj, i + 1); j < ej; ++j) {
-            dists[j * k + i] = dists[i * k + j];
-          }
+  for (std::size_t bi = 0; bi < k; bi += mirror_tile) {
+    const std::size_t ei = std::min(bi + mirror_tile, k);
+    for (std::size_t bj = bi; bj < k; bj += mirror_tile) {
+      const std::size_t ej = std::min(bj + mirror_tile, k);
+      for (std::size_t i = bi; i < ei; ++i) {
+        for (std::size_t j = std::max(bj, i + 1); j < ej; ++j) {
+          dists[j * k + i] = dists[i * k + j];
         }
       }
     }
-  };
-  const std::size_t shards = pool == nullptr ? 1 : std::min<std::size_t>(64, k);
-  if (shards <= 1) {
-    table_rows(0, 1);
-    mirror_bands(0, 1);
-  } else {
-    pool->parallel_for(shards, [&](std::size_t s) { table_rows(s, shards); });
-    const std::size_t band_shards = std::min<std::size_t>(shards, bands);
-    pool->parallel_for(band_shards,
-                       [&](std::size_t s) { mirror_bands(s, band_shards); });
   }
   // Per-observer pipelines.  Center observers (tolerance-equal to the SEC
-  // center: rare) are deferred to a sequential pass -- their Def. 2
-  // maximizer scan reads the peers' cache slots, which must all be ready
-  // first.  Deferral does not change any slot's bytes: each pipeline depends
-  // only on the configuration, never on fill order.
+  // center: rare) are deferred to a second pass -- their Def. 2 maximizer
+  // scan reads the peers' cache slots, which must all be ready first.
+  // Deferral does not change any slot's bytes: each pipeline depends only on
+  // the configuration, never on fill order.
   // The fused record path applies configuration-wide only when every
   // multiplicity is 1 (then the per-target multiplicity expansion is the
   // identity); per-observer it additionally requires snap-identity angles.
   const bool all_mults_one = c.size() == k;
-  const auto fill_observer = [&](std::size_t i) {
-    if (d.view_ready[i]) return;
+  thread_local fill_scratch fs;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (d.view_ready[i]) continue;
     const vec2 p = occ[i].position;
-    if (t.same_point(p, center)) return;  // deferred
-    thread_local fill_scratch fs;
+    if (t.same_point(p, center)) continue;  // deferred
+    GATHER_PROF("config.views");
     const vec2 ref = center - p;
     const double* row = &dists[i * k];
     if (!(all_mults_one &&
@@ -630,27 +607,6 @@ void fill_all_view_slots(const configuration& c) {
       view_from_row_into(c, p, ref, r, t, xs, ys, row, fs, d.views[i]);
     }
     d.view_ready[i] = 1;
-  };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < k; ++i) {
-      if (d.view_ready[i] != 0 ||
-          t.same_point(occ[i].position, center)) {
-        continue;
-      }
-      GATHER_PROF("config.views");
-      fill_observer(i);
-    }
-  } else {
-    // Fixed shard boundaries in observer index space: shard s owns
-    // [s*k/S, (s+1)*k/S).  Each slot is written by exactly one shard (the
-    // profiling registry is thread-local, so the parallel path skips the
-    // per-observer counter).
-    const std::size_t obs_shards = std::min<std::size_t>(64, k);
-    pool->parallel_for(obs_shards, [&](std::size_t s) {
-      const std::size_t b = s * k / obs_shards;
-      const std::size_t e = (s + 1) * k / obs_shards;
-      for (std::size_t i = b; i < e; ++i) fill_observer(i);
-    });
   }
   for (std::size_t i = 0; i < k; ++i) {
     if (d.view_ready[i]) continue;

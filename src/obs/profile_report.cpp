@@ -13,16 +13,13 @@ void export_profile(const prof_registry& profile, metrics_registry& metrics) {
   for (const auto& [site, stats] : profile.sites()) {
     metrics.counter("prof." + site + ".calls") += stats.calls;
     metrics.counter("prof." + site + ".total_ns") += stats.total_ns;
-    histogram& h = metrics.hist("prof." + site + ".ns", bounds);
-    // Replay the bucketed durations at their bucket bound so count/buckets
-    // line up; the exact total is carried by the total_ns counter.
-    for (std::size_t i = 0; i <= prof_bucket_count; ++i) {
-      const double at = i < prof_bucket_count
-                            ? static_cast<double>(prof_bucket_bound(i))
-                            : 2.0 * static_cast<double>(
-                                        prof_bucket_bound(prof_bucket_count - 1));
-      for (std::uint64_t k = 0; k < stats.buckets[i]; ++k) h.observe(at);
-    }
+    // The recorded bucket counts carry over as they are, and the sum is the
+    // exact total, so it agrees with the total_ns counter even for calls
+    // past the top bucket.
+    metrics.hist("prof." + site + ".ns", bounds)
+        .merge(histogram::from_parts(
+            bounds, {stats.buckets.begin(), stats.buckets.end()}, stats.calls,
+            static_cast<double>(stats.total_ns)));
   }
 }
 

@@ -13,9 +13,8 @@
 
 namespace gather::runner {
 
-// The pool moved to src/util (header-only, layer rank 0) so the config
-// layer's intra-round fills can shard across it too; the runner-facing name
-// stays for the existing campaign/tool call sites.
+// The pool lives in src/util (header-only, layer rank 0); the runner-facing
+// name stays for the existing campaign/tool call sites.
 using util::thread_pool;
 
 }  // namespace gather::runner

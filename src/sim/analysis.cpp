@@ -7,8 +7,8 @@
 
 namespace gather::sim {
 
-std::vector<round_metrics> analyze_trace(const sim_result& result) {
-  std::vector<round_metrics> out;
+std::vector<round_stats> analyze_trace(const sim_result& result) {
+  std::vector<round_stats> out;
   out.reserve(result.trace.size());
   for (const round_record& rec : result.trace) {
     out.push_back(
@@ -39,7 +39,7 @@ potential_report check_potentials(const sim_result& result) {
   std::size_t prev_live = 0;
   config_class prev_cls = config_class::asymmetric;
   bool have_prev = false;
-  for (const round_metrics& m : metrics) {
+  for (const round_stats& m : metrics) {
     if (m.max_live_multiplicity >= 2 &&
         rep.first_multiplicity_round == static_cast<std::size_t>(-1)) {
       rep.first_multiplicity_round = m.round;

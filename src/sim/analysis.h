@@ -12,13 +12,8 @@
 
 namespace gather::sim {
 
-/// Metrics of one recorded round.  The former standalone struct merged into
-/// sim::metrics' round_stats (one struct, one computing call site:
-/// compute_round_stats); this alias keeps the analysis-side name.
-using round_metrics = round_stats;
-
-/// Per-round metrics for a trace-recording run.
-[[nodiscard]] std::vector<round_metrics> analyze_trace(const sim_result& result);
+/// Per-round metrics (sim::metrics' round_stats) for a trace-recording run.
+[[nodiscard]] std::vector<round_stats> analyze_trace(const sim_result& result);
 
 /// A maximal run of consecutive rounds in one configuration class.
 struct class_phase {

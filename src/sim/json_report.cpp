@@ -80,7 +80,7 @@ void write_json_report(std::ostream& os, const sim_result& result) {
     os << ",\n  \"rounds_detail\": [";
     const auto metrics = analyze_trace(result);
     for (std::size_t i = 0; i < metrics.size(); ++i) {
-      const round_metrics& m = metrics[i];
+      const round_stats& m = metrics[i];
       if (i) os << ", ";
       os << "{\"round\": " << m.round << ", \"class\": \""
          << json_escape(config::to_string(m.cls)) << "\", \"live\": "

@@ -24,7 +24,7 @@ namespace gather::sim {
 /// All per-round statistics of one recorded round, merged into a single
 /// struct computed by one call (`compute_round_stats`): the live-robot
 /// potentials (spread, sum of pairwise distances) and the largest stack of
-/// live robots.  `sim::analysis` exposes this same struct as `round_metrics`.
+/// live robots.  `sim::analyze_trace` returns one per recorded round.
 struct round_stats {
   std::size_t round = 0;
   config::config_class cls = config::config_class::asymmetric;

@@ -1,5 +1,5 @@
-// Fixed-size thread pool (shared by the S8 runner and the intra-round
-// parallel kernels in src/config).
+// Fixed-size thread pool (the S8 campaign runner, gather_fuzz and the bench
+// harness).
 //
 // The pool owns `jobs` worker threads for its whole lifetime.  Two entry
 // points:
@@ -14,9 +14,8 @@
 //                           importantly -- no shared mutable state that
 //                           could make results depend on scheduling.  The
 //                           caller owns result placement by index, which is
-//                           how the campaign layer and the intra-round view
-//                           fill guarantee output that is byte-identical for
-//                           every jobs value.
+//                           how the campaign layer guarantees output that
+//                           is byte-identical for every jobs value.
 //
 // With jobs == 1 the single worker consumes tickets in order, reproducing
 // strictly serial execution.

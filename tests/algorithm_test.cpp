@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "config/safe_points.h"
@@ -99,11 +100,24 @@ TEST(AsymmetricCase, LeaderIsSafeAndUnique) {
 }
 
 TEST(AsymmetricCase, LeaderPrefersMultiplicityThenSumOfDistances) {
-  // Two stacked robots (safe) must win over singletons.
-  const configuration c({{0, 0}, {0, 0}, {5, 1}, {1, 4}, {-3, 2}, {2, -3}});
-  if (config::classify(c).cls == config_class::multiple) {
-    GTEST_SKIP() << "configuration classified as M";
-  }
+  // Two stacks of two tie on multiplicity, so the configuration stays in
+  // class A instead of M.  The safe singleton at (1, 0.5) has the smallest
+  // sum of distances, but the stacks outrank it; between the stacks, (0, 0)
+  // wins on sum of distances.
+  const configuration c({{0, 0}, {0, 0}, {6, 1}, {6, 1}, {1, 4}, {-3, 2},
+                         {2, -3}, {1, 0.5}});
+  ASSERT_EQ(config::classify(c).cls, config_class::asymmetric);
+  const auto safe = config::safe_occupied_points(c);
+  const auto is_safe = [&](vec2 p) {
+    return std::any_of(safe.begin(), safe.end(), [&](std::size_t i) {
+      return c.occupied()[i].position == p;
+    });
+  };
+  ASSERT_TRUE(is_safe({0, 0}));
+  ASSERT_TRUE(is_safe({6, 1}));
+  ASSERT_TRUE(is_safe({1, 0.5}));
+  ASSERT_LT(c.sum_distances({1, 0.5}), c.sum_distances({0, 0}));
+  ASSERT_LT(c.sum_distances({0, 0}), c.sum_distances({6, 1}));
   const auto leader = wait_free_gather::elect_leader(c);
   ASSERT_TRUE(leader.has_value());
   EXPECT_EQ(*leader, (vec2{0, 0}));

@@ -1,7 +1,7 @@
-// PR 10 equivalence fuzz: the batch-kernel bulk view fill (SoA pairwise
-// table, fused polar records, deterministic intra-round sharding) and the
-// divisor-driven quasi-regularity search against their preserved reference
-// oracles -- bit for bit for views under every dispatch path and job count,
+// Equivalence fuzz: the batch-kernel bulk view fill (SoA pairwise table,
+// fused polar records) and the divisor-driven quasi-regularity search
+// against their preserved reference oracles -- bit for bit for views under
+// every dispatch path,
 // exactly for the derived classes/symmetry/QR verdicts.  Per-kernel tests
 // pin the AVX2 and scalar paths to identical bytes, the sort kernels to the
 // stable radix order, and the snap-identity predicate to its contract.
@@ -17,7 +17,6 @@
 
 #include "config/configuration.h"
 #include "config/derived.h"
-#include "config/parallel.h"
 #include "config/regularity.h"
 #include "config/views.h"
 #include "geometry/angles.h"
@@ -41,18 +40,6 @@ struct scalar_guard {
     if (force) kernels::set_force_scalar(true);
   }
   ~scalar_guard() { kernels::set_force_scalar(false); }
-};
-
-/// Pin the geometry job count for a scope, restoring the previous count
-/// (which may have come from GATHER_GEOM_JOBS) on exit.
-struct jobs_guard {
-  explicit jobs_guard(std::size_t jobs) : prev_(config::geometry_jobs()) {
-    config::set_geometry_jobs(jobs);
-  }
-  ~jobs_guard() { config::set_geometry_jobs(prev_); }
-
- private:
-  std::size_t prev_;
 };
 
 TEST(KernelDispatch, BatchKernelsMatchScalarBitwise) {
@@ -326,17 +313,6 @@ TEST(BulkFill, MatchesReferenceOn1000Configs) { run_fill_fuzz(1000, 0x5eedau); }
 TEST(BulkFill, MatchesReferenceScalarDispatch) {
   scalar_guard guard(true);
   run_fill_fuzz(1000, 0x5eedbu);
-}
-
-TEST(BulkFill, MatchesReferenceWithFourJobs) {
-  jobs_guard guard(4);
-  run_fill_fuzz(1000, 0x5eedcu);
-}
-
-TEST(BulkFill, MatchesReferenceScalarFourJobs) {
-  scalar_guard sguard(true);
-  jobs_guard jguard(4);
-  run_fill_fuzz(500, 0x5eeddu);
 }
 
 void check_qr_all_centers(const configuration& c, const char* tag, int iter) {

@@ -291,5 +291,30 @@ TEST(Prof, ExportProducesCountersAndHistogram) {
   EXPECT_EQ(h->count(), 1u);
 }
 
+TEST(Prof, ExportedHistogramSumIsExactPastTopBucket) {
+  // 10 ms lands in the top bounded bucket (~16.8 ms), 300 ms in the
+  // overflow bucket; the histogram sum must still be the exact total.
+  obs::prof_registry reg;
+  reg.record("obs.test.slow", 10'000'000);
+  reg.record("obs.test.slow", 300'000'000);
+  obs::metrics_registry metrics;
+  obs::export_profile(reg, metrics);
+  const std::uint64_t* total =
+      metrics.find_counter("prof.obs.test.slow.total_ns");
+  ASSERT_NE(total, nullptr);
+  EXPECT_EQ(*total, 310'000'000u);
+  const obs::histogram* h = metrics.find_histogram("prof.obs.test.slow.ns");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count(), 2u);
+  EXPECT_EQ(h->sum(), static_cast<double>(*total));
+  const auto& stats = reg.sites().find("obs.test.slow")->second;
+  ASSERT_EQ(h->bucket_counts().size(), stats.buckets.size());
+  for (std::size_t i = 0; i < stats.buckets.size(); ++i) {
+    EXPECT_EQ(h->bucket_counts()[i], stats.buckets[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(h->bucket_counts()[obs::prof_bucket_count - 1], 1u);
+  EXPECT_EQ(h->bucket_counts()[obs::prof_bucket_count], 1u);
+}
+
 }  // namespace
 }  // namespace gather

@@ -140,7 +140,7 @@ TEST(Regression, TinySideStepIsNotStationary) {
   pts.push_back(geom::rotated_cw_about({12.0, 0.0}, {0, 0}, 1e-6));
   pts.push_back({14.0, 1e-5});  // blocker structure on a third near ray
   const configuration c(pts);
-  if (config::classify(c).cls != config_class::multiple) GTEST_SKIP();
+  ASSERT_EQ(config::classify(c).cls, config_class::multiple);
   const auto stat = core::stationary_locations(c, kAlgo);
   EXPECT_LE(stat.size(), 1u);
   EXPECT_TRUE(core::satisfies_wait_freeness(c, kAlgo));
