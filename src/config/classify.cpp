@@ -19,9 +19,7 @@ classification classify_uncached(const configuration& c) {
   GATHER_PROF("config.classify");
   classification out;
 
-  // B: exactly two occupied points, each with multiplicity n/2.
-  if (c.distinct_count() == 2 &&
-      c.occupied()[0].multiplicity == c.occupied()[1].multiplicity) {
+  if (is_bivalent(c)) {
     out.cls = config_class::bivalent;
     return out;
   }
@@ -69,6 +67,12 @@ classification classify_uncached(const configuration& c) {
 }
 
 }  // namespace detail
+
+bool is_bivalent(const configuration& c) {
+  // B: exactly two occupied points, each with multiplicity n/2.
+  return c.distinct_count() == 2 &&
+         c.occupied()[0].multiplicity == c.occupied()[1].multiplicity;
+}
 
 classification classify(const configuration& c) {
   derived_geometry& d = c.derived();

@@ -62,4 +62,9 @@ struct classification {
 /// Classify `c` per Sec. IV.A.  Precondition: `c` is non-empty.
 [[nodiscard]] classification classify(const configuration& c);
 
+/// The class-B test alone, in O(1): exactly two occupied points with equal
+/// multiplicity.  B is the first test in classify, so this equals
+/// `classify(c).cls == config_class::bivalent` without paying for the rest.
+[[nodiscard]] bool is_bivalent(const configuration& c);
+
 }  // namespace gather::config

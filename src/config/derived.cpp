@@ -44,8 +44,7 @@ void derived_geometry::clear() {
   view_classes.reset();
   angles_about_center.clear();  // keep capacity
   angles_state = 0;
-  for (std::vector<angular_entry>& o : polar_orders) o.clear();  // keep capacity
-  polar_order_ready.clear();
+  max_ray_loads.clear();
   symmetry.reset();
   // scratch_* buffers hold no cross-call state.
 }
@@ -66,8 +65,8 @@ void derived_geometry::on_mutation(const mutation_report& rep) {
   // mults_only: the distinct locations and the tolerance are bitwise
   // unchanged; only multiplicities (and the robot->location assignment)
   // moved.  The hull is a function of exactly those unchanged inputs: keep
-  // it.  The angular tables keep their per-location geometry and repair
-  // their multiplicity expansion lazily; everything else reads
+  // it.  The Def. 4 angular table keeps its per-location geometry and
+  // repairs its multiplicity expansion lazily; everything else reads
   // multiplicities and drops.
   verdict.reset();
   weber.reset();
@@ -79,9 +78,7 @@ void derived_geometry::on_mutation(const mutation_report& rep) {
   view_ready.assign(view_ready.size(), 0);
   view_classes.reset();
   if (angles_state == 1) angles_state = 2;
-  for (char& r : polar_order_ready) {
-    if (r == 1) r = 2;
-  }
+  max_ray_loads.clear();  // ray loads sum multiplicities
   symmetry.reset();  // the rotation-kernel symbols embed multiplicities
 }
 
@@ -117,40 +114,11 @@ std::vector<angular_entry> angular_order_about_center(const configuration& c) {
   return detail::angles_about_center_slot(c);
 }
 
-const std::vector<angular_entry>& angular_order_of_occupied(
-    const configuration& c, std::size_t i) {
-  derived_geometry& d = c.derived();
-  const std::size_t k = c.distinct_count();
-  if (d.polar_order_ready.size() != k) {
-    if (d.polar_orders.size() < k) d.polar_orders.resize(k);  // grow-only pool
-    d.polar_order_ready.assign(k, 0);
-  }
-  if (d.polar_order_ready[i] == 2) {
-    reexpand_with_mults(c, d.polar_orders[i], d.scratch_entries);
-    d.polar_order_ready[i] = 1;
-  } else if (d.polar_order_ready[i] == 0) {
-    detail::angular_order_into(c, c.occupied()[i].position, d.polar_orders[i]);
-    d.polar_order_ready[i] = 1;
-  }
-  return d.polar_orders[i];
-}
-
 polar_ref angular_order_ref(const configuration& c, vec2 center) {
   // Cache routing demands an exact bitwise position match: a merely
   // tolerance-close center yields different angles and therefore different
   // bits, so it is computed uncached.
   polar_ref r;
-  if (const auto i = c.find_occupied(center)) {
-    // Past the cache cap the quadratic polar table costs more memory than
-    // its rereads save; hand out owning storage instead (identical entries:
-    // same angular_order_into, uncached).
-    if (c.distinct_count() <= polar_order_cache_cap) {
-      r.aliased_ = &angular_order_of_occupied(c, *i);
-      return r;
-    }
-    detail::angular_order_into(c, center, r.owned_);
-    return r;
-  }
   const vec2 sec_center = c.sec().center;
   if (center.x == sec_center.x && center.y == sec_center.y) {
     r.aliased_ = &detail::angles_about_center_slot(c);

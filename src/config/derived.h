@@ -8,26 +8,29 @@
 // cached value is bit-identical to a fresh one by construction: same
 // function, same canonical state.
 //
-// Shared polar tables (PR 5): the per-occupied-point angular orders
-// (`polar_orders`) are the polar table every angular consumer shares --
-// safe-point scoring, quasi-regularity ray analysis and the string of angles
-// all read the same cached, snapped cyclic order instead of re-clustering
-// per call.  The angle-cluster scratch buffers below make the fill passes
-// allocation-free in steady state.  The pre-subquadratic implementations are
-// kept verbatim as detail::*_reference oracles for equivalence fuzzing and
-// benchmarking (see docs/PERFORMANCE.md, "View pipeline complexity").
+// Angular work: the Def. 4 order about the SEC center is the one cached
+// angular order (`angles_about_center`); any other center gets an owning
+// angular order per request (angular_order_ref).  Per-occupied-center ray
+// analysis -- the Lemma 3.4 quasi-regularity search and the Def. 8 safe-point
+// test -- runs one ray sweep per center (regularity.cpp), and the search
+// leaves each center's max ray load in `max_ray_loads`, an O(k) slot, so the
+// class-A election scores safe points without sweeping again.  The
+// angle-cluster scratch buffers below make the fill passes allocation-free in
+// steady state.  The pre-subquadratic implementations are kept verbatim as
+// detail::*_reference oracles for equivalence fuzzing and benchmarking (see
+// docs/PERFORMANCE.md, "View pipeline complexity").
 //
 // Invalidation: configuration's mutation API hands each mutation_report to
 // derived_geometry::on_mutation, which invalidates per slot: a mults_only
 // mutation (same locations, same tolerance) keeps the hull slot outright and
-// keeps the per-location geometry of the angular tables, marking only their
-// multiplicity expansion stale (repaired in place on the next read); every
-// structural mutation falls back to clear().  Slots are emptied, never
-// deallocated -- the ragged tables (`views`, `polar_orders`,
-// `angles_about_center`) are grow-only pools whose logical size is carried
-// by their ready flags, so a simulation engine reusing one configuration
-// across rounds reaches an allocation-free steady state even when the
-// number of occupied locations fluctuates.
+// keeps the per-location geometry of the Def. 4 angular table, marking only
+// its multiplicity expansion stale (repaired in place on the next read);
+// every structural mutation falls back to clear().  Slots are emptied, never
+// deallocated -- the ragged tables (`views`, `angles_about_center`) are
+// grow-only pools whose logical size is carried by their ready flags, so a
+// simulation engine reusing one configuration across rounds reaches an
+// allocation-free steady state even when the number of occupied locations
+// fluctuates.
 //
 // This header is internal to src/config: accessing derived() or this struct
 // from other layers is rejected by gather-lint rule R5.  Consumers use the
@@ -47,15 +50,6 @@
 #include "config/weber.h"
 
 namespace gather::config {
-
-/// Cap on the occupied-center polar-table cache (`polar_orders`): with k
-/// distinct locations the full cache holds k orders of ~k entries each --
-/// O(k^2) memory, ~3 GB of angular_entry at k = 10^4 -- for a table whose
-/// consumers (safe points, quasi-regularity) read each order a constant
-/// number of times.  Beyond the cap, angular_order_ref serves occupied
-/// centers as owning handles instead, trading a bounded recompute for a
-/// memory footprint that stays linear in practice.
-inline constexpr std::size_t polar_order_cache_cap = 2048;
 
 struct derived_geometry {
   std::optional<classification> verdict;
@@ -79,13 +73,11 @@ struct derived_geometry {
   // read -- see detail::angles_about_center_slot).
   std::vector<angular_entry> angles_about_center;
   std::uint8_t angles_state = 0;
-  // Shared polar table: angular_order about occupied location i, filled
-  // lazily per index (safe points and quasi-regularity both walk every
-  // occupied candidate, so each order is computed once and read twice).
-  // Grow-only pool like `views`; the ready flags use the same 0/1/2 protocol
-  // as angles_state.
-  std::vector<std::vector<angular_entry>> polar_orders;
-  std::vector<char> polar_order_ready;
+  // Def. 8 max ray load about occupied location i (index-aligned with
+  // occupied(); -1 = cold, empty = all cold).  The Lemma 3.4 search fills
+  // every entry as a by-product of its per-center ray sweep;
+  // safe_occupied_points and max_ray_load read it.
+  std::vector<int> max_ray_loads;
   // sym(C) by the Booth/Z rotation kernel on the string about the SEC
   // center; filling this slot does not require computing any view.
   std::optional<int> symmetry;
@@ -107,8 +99,8 @@ struct derived_geometry {
   /// configuration for every generation-bumping mutation (no_op/cache_kept
   /// mutations never reach here).  mults_only keeps the hull slot (its
   /// inputs -- distinct locations and tolerance -- are bitwise unchanged)
-  /// and downgrades the filled angular tables to stale-mults; every other
-  /// kind clears all slots.
+  /// and downgrades the filled Def. 4 angular table to stale-mults; every
+  /// other kind clears all slots.
   void on_mutation(const mutation_report& rep);
 };
 
@@ -121,26 +113,20 @@ struct derived_geometry {
 [[nodiscard]] std::vector<angular_entry> angular_order_about_center(
     const configuration& c);
 
-/// The cached angular order about occupied location index `i` (the shared
-/// polar table).  The reference is valid until the next mutation.
-[[nodiscard]] const std::vector<angular_entry>& angular_order_of_occupied(
-    const configuration& c, std::size_t i);
-
 class polar_ref;
 
-/// Cache-routing angular order about an arbitrary center: serves the polar
-/// table on an exact occupied-position match, the Def. 4 slot on an exact
-/// SEC-center match, and otherwise computes into storage owned by the
-/// returned handle.  A cache-aliasing handle is valid until the next
-/// mutation of `c`; an owning handle is self-contained.
+/// Cache-routing angular order about an arbitrary center: serves the Def. 4
+/// slot on an exact SEC-center match, and otherwise computes into storage
+/// owned by the returned handle.  A cache-aliasing handle is valid until the
+/// next mutation of `c`; an owning handle is self-contained.
 [[nodiscard]] polar_ref angular_order_ref(const configuration& c, vec2 center);
 
-/// Handle to an angular order: either an alias into the derived-geometry
-/// cache (valid until the next mutation -- gather-lint rule R6 tracks these
-/// bindings like any other cached reference) or small owned storage for
-/// centers the cache does not cover.  Which one it is is recorded, so
-/// callers that want to keep the entries past a mutation know whether a copy
-/// is needed (`take()` does the right thing either way).
+/// Handle to an angular order: either an alias into the Def. 4 slot (valid
+/// until the next mutation -- gather-lint rule R6 tracks these bindings like
+/// any other cached reference) or owned storage for every other center.
+/// Which one it is is recorded, so callers that want to keep the entries past
+/// a mutation know whether a copy is needed (`take()` does the right thing
+/// either way).
 class polar_ref {
  public:
   polar_ref() = default;
@@ -205,8 +191,11 @@ void angular_order_into(const configuration& c, vec2 center,
 // the slot by reference (valid until the next mutation).
 [[nodiscard]] const std::vector<angular_entry>& angles_about_center_slot(
     const configuration& c);
-[[nodiscard]] std::vector<std::size_t> safe_occupied_points_uncached(
-    const configuration& c);
+// Def. 8 max ray load about `center` by the ray sweep of the Lemma 3.4
+// search (regularity.cpp): the largest summed multiplicity over a run of
+// equal snapped thetas, i.e. the longest equal-theta run of
+// angular_order_uncached(c, center).
+[[nodiscard]] int max_ray_load_uncached(const configuration& c, vec2 center);
 
 // PR 5 reference oracles: the pre-subquadratic view/symmetry pipeline kept
 // verbatim (naive clustering, linear-scan snapping, tolerance-comparator
@@ -215,11 +204,10 @@ void angular_order_into(const configuration& c, vec2 center,
 // and symmetry away from tolerance boundaries (fuzzed by
 // test_view_pipeline); bench_scaling times fast vs reference per phase.
 // PR 10 reference oracle: the pre-divisor-driven Lemma 3.4 search (full
-// angular order through the polar-table cache, first-fit residue classes,
-// every m from n down to 2), kept verbatim.  The fast
-// quasi_regular_about_occupied must agree with it away from eps-chain
-// residue boundaries (fuzzed by tests/kernel_test.cpp); bench_scaling's
-// kernels phase measures the two slopes.
+// angular order, first-fit residue classes, every m from n down to 2), kept
+// verbatim.  The fast quasi_regular_about_occupied must agree with it away
+// from eps-chain residue boundaries (fuzzed by tests/kernel_test.cpp);
+// bench_scaling's kernels phase measures the two slopes.
 [[nodiscard]] std::optional<int> quasi_regular_about_occupied_reference(
     const configuration& c, vec2 p);
 

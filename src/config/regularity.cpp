@@ -10,6 +10,7 @@
 #include "config/string_of_angles.h"
 #include "config/weber.h"
 #include "geometry/angles.h"
+#include "util/check.h"
 
 namespace gather::config {
 
@@ -21,21 +22,23 @@ struct ray {
   int load = 0;
 };
 
-/// Distinct rays from `center` through the robots of `c` (robots at `center`
-/// excluded), directions clustered under the angle tolerance.
+/// The ray sweep about `center`: the distinct rays from `center` through the
+/// robots of `c` (robots at `center` excluded), directions clustered under
+/// the angle tolerance, written to `rays` (ascending theta) when non-null.
+/// Returns the Def. 8 max ray load: the largest summed multiplicity over a
+/// run of equal snapped thetas.
 ///
 /// Ray analysis never reads distances, so this scan builds (snapped theta,
 /// multiplicity) pairs directly -- the same clustering pipeline as
 /// angular_order_into (per-location thetas, cluster_angles_into,
-/// nearest-rep snap), minus the k hypot calls, the multiplicity expansion
-/// and the polar-table cache fill.  The resulting rays are identical to
-/// walking the full angular order: sorting snapped thetas gives the same
-/// theta sequence (the order's dist/position tiebreaks never split a
-/// theta), and accumulating each location's multiplicity in one step sums
-/// the same loads its expanded entries would have contributed one by one.
-/// Merging compares against the ray's first representative, exactly like
-/// the order walk did (ang_eq_mod covers exact equality: distance 0).
-std::vector<ray> rays_from(const configuration& c, vec2 center) {
+/// nearest-rep snap), minus the k hypot calls and the multiplicity
+/// expansion.  Each location gets the snapped theta angular_order_into gives
+/// it, so a run of equal thetas here sums exactly the entries of one
+/// equal-theta run of the angular order: the max ray load is the
+/// safe_points.h quantity.  Merging into rays compares against the ray's
+/// first representative, exactly like the order walk of the reference oracle
+/// (ang_eq_mod covers exact equality: distance 0).
+int sweep_rays(const configuration& c, vec2 center, std::vector<ray>* rays) {
   const geom::tol& t = c.tolerance();
   thread_local std::vector<double> thetas;
   thread_local std::vector<double> reps;
@@ -48,27 +51,45 @@ std::vector<ray> rays_from(const configuration& c, vec2 center) {
                      o.multiplicity});
   }
   // One sort carries the whole pipeline: the sorted theta sequence feeds the
-  // presorted clustering (bit-identical reps), the monotone merge snap
+  // presorted clustering (bit-identical reps), and the monotone merge snap
   // replaces a per-element nearest-rep binary search (bit-identical snapped
-  // values, order preserved by monotonicity), and the snapped sequence is
-  // already ascending, so no re-sort before the ray merge.  Pair order
-  // within one snapped theta can differ from the old sort-after-snap order,
-  // but ray formation only compares thetas and sums loads, so the rays are
-  // identical.
+  // values).  Pair order within one snapped theta is not the angular
+  // order's, but rays and runs only compare thetas and sum loads, so neither
+  // depends on it.
   std::sort(pairs.begin(), pairs.end());
   for (const auto& [th, mult] : pairs) thetas.push_back(th);
   geom::cluster_presorted_angles_into(thetas, t.angle_eps, reps);
   geom::snap_sorted_angles(thetas, reps);
-  std::vector<ray> rays;
+  // Snapping is monotone except at the 0/2*pi seam, where a cluster that
+  // straddles it wraps: its small raw thetas snap up to a representative
+  // near 2*pi (a leading run larger than its successor), or its raw thetas
+  // near 2*pi snap down to 0 (a trailing run smaller than its predecessor).
+  // Only one of the two can happen, so rotating the sequence at its single
+  // descent makes it ascending and reunites the split ray.
+  const auto descent = std::is_sorted_until(thetas.begin(), thetas.end());
+  if (descent != thetas.end()) {
+    const auto j = descent - thetas.begin();
+    std::rotate(thetas.begin(), descent, thetas.end());
+    std::rotate(pairs.begin(), pairs.begin() + j, pairs.end());
+    GATHER_CHECK(std::is_sorted(thetas.begin(), thetas.end()),
+                 "one rotation at the seam sorts the snapped thetas");
+  }
+  if (rays != nullptr) rays->clear();
+  int max_load = 0;
+  int run = 0;
   for (std::size_t i = 0; i < thetas.size(); ++i) {
     const double th = thetas[i];
-    if (!rays.empty() && t.ang_eq_mod(rays.back().theta, th, geom::two_pi)) {
-      rays.back().load += pairs[i].second;
+    const int mult = pairs[i].second;
+    run = (i > 0 && th == thetas[i - 1]) ? run + mult : mult;
+    max_load = std::max(max_load, run);
+    if (rays == nullptr) continue;
+    if (!rays->empty() && t.ang_eq_mod(rays->back().theta, th, geom::two_pi)) {
+      rays->back().load += mult;
     } else {
-      rays.push_back({th, pairs[i].second});
+      rays->push_back({th, mult});
     }
   }
-  return rays;
+  return max_load;
 }
 
 /// Total fill-in robots needed to complete the rays into an m-fold
@@ -178,13 +199,11 @@ bool companion_prefilter(const std::vector<ray>& rays, int m, int budget,
   return true;
 }
 
-}  // namespace
-
-std::optional<int> quasi_regular_about_occupied(const configuration& c, vec2 p) {
-  const int mult_p = c.multiplicity(p);
-  if (mult_p <= 0) return std::nullopt;
-  const std::vector<ray> rays = rays_from(c, p);
-  if (rays.empty()) return std::nullopt;  // every robot is at p
+/// The Lemma 3.4 search about an occupied center of multiplicity `mult_p`,
+/// given its rays.
+std::optional<int> qr_degree_from_rays(const configuration& c, int mult_p,
+                                       const std::vector<ray>& rays) {
+  if (rays.empty()) return std::nullopt;  // every robot is at the center
   const int n = static_cast<int>(c.size());
   const int rc = static_cast<int>(rays.size());
   const int budget = mult_p;
@@ -220,6 +239,16 @@ std::optional<int> quasi_regular_about_occupied(const configuration& c, vec2 p) 
   return std::nullopt;
 }
 
+}  // namespace
+
+std::optional<int> quasi_regular_about_occupied(const configuration& c, vec2 p) {
+  const int mult_p = c.multiplicity(p);
+  if (mult_p <= 0) return std::nullopt;
+  std::vector<ray> rays;
+  sweep_rays(c, p, &rays);
+  return qr_degree_from_rays(c, mult_p, rays);
+}
+
 namespace detail {
 
 std::optional<config::quasi_regularity> detect_quasi_regularity_uncached(
@@ -235,9 +264,17 @@ std::optional<config::quasi_regularity> detect_quasi_regularity_uncached(
   };
   std::vector<candidate> cands;
 
-  // 1. Occupied centers via the Lemma 3.4 deficit test.
-  for (const occupied_point& o : c.occupied()) {
-    if (auto m = quasi_regular_about_occupied(c, o.position)) {
+  // 1. Occupied centers via the Lemma 3.4 deficit test.  The ray sweep about
+  //    each center also yields its Def. 8 max ray load, which lands in the
+  //    derived slot safe_occupied_points reads: one sweep per center serves
+  //    both the classification and the class-A election.
+  std::vector<int>& loads = c.derived().max_ray_loads;
+  loads.assign(c.distinct_count(), -1);
+  std::vector<ray> rays;
+  for (std::size_t i = 0; i < c.distinct_count(); ++i) {
+    const occupied_point& o = c.occupied()[i];
+    loads[i] = sweep_rays(c, o.position, &rays);
+    if (auto m = qr_degree_from_rays(c, c.multiplicity(o.position), rays)) {
       cands.push_back({o.position, *m, c.sum_distances(o.position), o.multiplicity});
     }
   }
@@ -271,20 +308,23 @@ std::optional<config::quasi_regularity> detect_quasi_regularity_uncached(
   return config::quasi_regularity{best->center, best->degree};
 }
 
+int max_ray_load_uncached(const configuration& c, vec2 center) {
+  return sweep_rays(c, center, nullptr);
+}
+
 // ---------------------------------------------------------------------------
 // PR 10 reference oracle: the pre-divisor-driven Lemma 3.4 search, preserved
-// verbatim -- full angular order (polar-table cache), first-fit residue
-// classes, every m from n down to 2.  quasi_regular_about_occupied must agree
-// with it away from eps-chain residue boundaries (fuzzed by
-// tests/kernel_test.cpp); bench_scaling measures the two slopes.
+// verbatim -- full angular order, first-fit residue classes, every m from n
+// down to 2.  quasi_regular_about_occupied must agree with it away from
+// eps-chain residue boundaries (fuzzed by tests/kernel_test.cpp);
+// bench_scaling measures the two slopes.
 
 namespace {
 
 std::vector<ray> rays_from_reference(const configuration& c, vec2 center) {
   const geom::tol& t = c.tolerance();
   std::vector<ray> rays;
-  // angular_order already snaps angles to cluster representatives; occupied
-  // centers are served from the shared polar table in derived_geometry.
+  // angular_order already snaps angles to cluster representatives.
   for (const angular_entry& e : angular_order_ref(c, center)) {
     if (!rays.empty() && rays.back().theta == e.theta) {
       rays.back().load += 1;

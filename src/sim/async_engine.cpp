@@ -43,8 +43,7 @@ async_result async_engine::run() {
   const config::configuration c0(positions_);
   const double delta_abs = std::max(opts_.delta_fraction * c0.diameter(), 1e-12);
   result.delta_abs = delta_abs;
-  const bool initial_bivalent =
-      config::classify(c0).cls == config::config_class::bivalent;
+  const bool initial_bivalent = config::is_bivalent(c0);
 
   obs::metrics_registry local;
   std::uint64_t& m_steps = local.counter("async.steps");

@@ -38,6 +38,7 @@ engine::engine(const sim_spec& spec)
   if (positions_.empty()) throw std::invalid_argument("sim_spec: no robots");
   const configuration c(positions_);
   delta_abs_ = std::max(opts_.delta_fraction * c.diameter(), 1e-12);
+  initial_bivalent_ = config::is_bivalent(c);
   // The model's delta gives the run an absolute length scale: robots within a
   // vanishing fraction of it are physically indistinguishable.  Without this
   // floor, per-robot frame round-off (~1 ulp of the coordinate magnitude)
@@ -97,8 +98,6 @@ sim_result engine::run() {
   local.counter("sim.runs") = 1;
   local.gauge("sim.delta_abs") = delta_abs_;
 
-  const bool initial_bivalent =
-      config::classify(configuration(positions_)).cls == config_class::bivalent;
   std::vector<std::size_t> starving(positions_.size(), 0);
   bool have_prev_cls = false;
   config_class prev_cls = config_class::asymmetric;
@@ -202,7 +201,7 @@ sim_result engine::run() {
             obs::event::lemma_violation(run_id_, round, "wait-freeness"));
       }
     }
-    if (!initial_bivalent && cls == config_class::bivalent) {
+    if (!initial_bivalent_ && cls == config_class::bivalent) {
       ++m_bivalent;
       if (sink_ != nullptr) {
         sink_->on_event(
@@ -326,7 +325,7 @@ sim_result engine::run() {
 
   result.final_positions = positions_;
   result.final_live = live_;
-  if (result.status != sim_status::gathered && initial_bivalent) {
+  if (result.status != sim_status::gathered && initial_bivalent_) {
     result.status = sim_status::started_bivalent;
   }
 

@@ -185,6 +185,7 @@ class engine {
   crash_policy* crash_;
   sim_options opts_;
   double delta_abs_ = 0.0;
+  bool initial_bivalent_ = false;  ///< the initial configuration is class B
   perturbation_policy* perturbation_ = nullptr;
   byzantine_policy* byzantine_ = nullptr;
   obs::event_sink* sink_ = nullptr;

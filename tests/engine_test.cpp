@@ -1,7 +1,9 @@
 // Engine-behaviour tests: fairness backstop, budgets, crash floor, options.
 #include <gtest/gtest.h>
 
+#include "config/classify.h"
 #include "core/wait_free_gather.h"
+#include "obs/profile.h"
 #include "sim/sim.h"
 #include "sim_support.h"
 #include "workloads/generators.h"
@@ -166,6 +168,33 @@ TEST(Engine, DifferentSeedsDiverge) {
     diverged = run(s).rounds != base.rounds;
   }
   EXPECT_TRUE(diverged);
+}
+
+TEST(Engine, ClassARoundClassifiesOnce) {
+  // The initial bivalence check is the O(1) class-B test, so a one-round
+  // class-A run pays for exactly one classification: the round's own.
+  rng r(8);
+  const std::vector<vec2> pts = workloads::uniform_random(64, r);
+  ASSERT_EQ(config::classify(config::configuration(pts)).cls,
+            config::config_class::asymmetric);
+  auto sched = make_synchronous();
+  auto move = make_full_movement();
+  auto crash = make_no_crash();
+  obs::prof_registry prof;
+  sim_spec s;
+  s.initial = pts;
+  s.algorithm = &kAlgo;
+  s.scheduler = sched.get();
+  s.movement = move.get();
+  s.crash = crash.get();
+  s.options.max_rounds = 1;
+  s.profile = &prof;
+  const sim_result res = run(s);
+  ASSERT_EQ(res.class_history.size(), 1u);
+  EXPECT_EQ(res.class_history.front(), config::config_class::asymmetric);
+  const auto site = prof.sites().find("config.classify");
+  ASSERT_NE(site, prof.sites().end());
+  EXPECT_EQ(site->second.calls, 1u);
 }
 
 }  // namespace

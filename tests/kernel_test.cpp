@@ -377,31 +377,24 @@ TEST(QuasiRegular, FastMatchesReferenceOnFuzzConfigs) {
   }
 }
 
-TEST(PolarCache, CapServesIdenticalOrdersAsOwningHandles) {
+TEST(PolarCache, OccupiedCentersGetOwningHandlesIdenticalToUncached) {
   sim::rng r(0xcab5u);
-  // Below the cap: occupied centers alias the cache.
-  {
-    const configuration c(workloads::uniform_random(32, r));
-    const vec2 p = c.occupied().front().position;
-    const config::polar_ref ref = config::angular_order_ref(c, p);
-    EXPECT_TRUE(ref.aliases_cache());
-  }
-  // Above the cap: owning handles, entry-identical to the uncached build.
-  {
-    const configuration c(
-        workloads::uniform_random(config::polar_order_cache_cap + 20, r));
-    ASSERT_GT(c.distinct_count(), config::polar_order_cache_cap);
-    const vec2 p = c.occupied().front().position;
-    const config::polar_ref ref = config::angular_order_ref(c, p);
+  const configuration c(workloads::uniform_random(64, r));
+  // Every occupied center gets owning storage, entry-identical to the
+  // uncached build; only the Def. 4 SEC-center order aliases the cache.
+  for (const config::occupied_point& o : c.occupied()) {
+    const config::polar_ref ref = config::angular_order_ref(c, o.position);
     EXPECT_FALSE(ref.aliases_cache());
     const std::vector<config::angular_entry> want =
-        config::detail::angular_order_uncached(c, p);
+        config::detail::angular_order_uncached(c, o.position);
     ASSERT_EQ(ref.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(ref.entries()[i].position, want[i].position);
       EXPECT_EQ(ref.entries()[i].theta, want[i].theta);
       EXPECT_EQ(ref.entries()[i].dist, want[i].dist);
     }
   }
+  EXPECT_TRUE(config::angular_order_ref(c, c.sec().center).aliases_cache());
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "config/derived.h"
 #include "config/regularity.h"
+#include "config/safe_points.h"
 #include "config/string_of_angles.h"
 #include "geometry/angles.h"
 #include "sim/rng.h"
@@ -183,6 +186,82 @@ TEST(QuasiRegular, InvariantUnderSimilarity) {
 
 TEST(QuasiRegular, GatheredConfigurationRejected) {
   EXPECT_FALSE(detect_quasi_regularity(configuration({{1, 1}, {1, 1}})).has_value());
+}
+
+/// The robot at clockwise angle `phi` and distance `r` from `center`.
+vec2 at_cw(vec2 center, double r, double phi) {
+  return {center.x + r * std::cos(phi), center.y - r * std::sin(phi)};
+}
+
+/// Longest run of equal thetas in the angular order about `center` (each
+/// entry is one robot): the Def. 8 max ray load by definition.
+int order_run_max(const configuration& c, vec2 center) {
+  int best = 0;
+  int run = 0;
+  const std::vector<angular_entry> order =
+      detail::angular_order_uncached(c, center);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    run = (i > 0 && order[i].theta == order[i - 1].theta) ? run + 1 : 1;
+    best = std::max(best, run);
+  }
+  return best;
+}
+
+/// One chain of robots at radii 1, 2, ... on the clockwise offsets
+/// `offsets` (units of 1e-9 rad, a chain under the 1e-9 angle tolerance)
+/// about the origin, rotated clockwise by `phi`.
+void add_chain(std::vector<vec2>& pts, const std::vector<double>& offsets,
+               double phi) {
+  for (std::size_t j = 0; j < offsets.size(); ++j) {
+    pts.push_back(at_cw({0, 0}, 1.0 + static_cast<double>(j),
+                        phi + offsets[j] * 1e-9));
+  }
+}
+
+/// A chain straddling the 0/2*pi seam of the origin plus five generic robots.
+std::vector<vec2> seam_chain(const std::vector<double>& offsets) {
+  std::vector<vec2> pts;
+  add_chain(pts, offsets, 0.0);
+  for (const vec2 p : {vec2{-3, 1.7}, vec2{0.4, -2.9}, vec2{-1.3, -4.1},
+                       vec2{2.2, 3.3}, vec2{-5.5, 0.6}}) {
+    pts.push_back(p);
+  }
+  return pts;
+}
+
+/// Four such chains a quarter turn apart about an occupied origin: the k = 0
+/// chain straddles the seam, and the configuration is quasi-regular about the
+/// origin with degree 4 (every rotation class is full; deficit 0).
+std::vector<vec2> seam_cross(const std::vector<double>& offsets) {
+  std::vector<vec2> pts = {{0, 0}};
+  for (int k = 0; k < 4; ++k) add_chain(pts, offsets, k * geom::pi / 2);
+  return pts;
+}
+
+void expect_seam_ray_is_one_ray(const std::vector<double>& offsets) {
+  const int load = static_cast<int>(offsets.size());
+  const configuration chain(seam_chain(offsets));
+  EXPECT_EQ(order_run_max(chain, {0, 0}), load);
+  EXPECT_EQ(max_ray_load(chain, {0, 0}), load);
+  const configuration cross(seam_cross(offsets));
+  EXPECT_EQ(order_run_max(cross, {0, 0}), load);
+  EXPECT_EQ(max_ray_load(cross, {0, 0}), load);
+  const auto m = quasi_regular_about_occupied(cross, {0, 0});
+  ASSERT_TRUE(m.has_value());
+  EXPECT_EQ(*m, 4);
+}
+
+TEST(RaySweep, SeamStraddlingRayWithRepresentativeNearTwoPi) {
+  // The chain's mean, -1.22e-9, stays a representative near 2*pi: the +0.5
+  // member snaps up to it and must rejoin the other four, not open a ray of
+  // its own in front of the sequence.
+  expect_seam_ray_is_one_ray({-3.0, -2.1, -1.2, -0.3, 0.5});
+}
+
+TEST(RaySweep, SeamStraddlingRayWithRepresentativeSnappedToZero) {
+  // The chain's mean, +0.25e-9, snaps to exactly 0: the members just below
+  // 2*pi snap down to it and must rejoin the leading ones.
+  expect_seam_ray_is_one_ray({-0.9, -0.1, 0.6, 1.4});
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
-// PR 5 equivalence fuzz: the subquadratic view/symmetry pipeline (shared
-// polar tables + canonical view keys + Booth minimal rotation) against the
+// PR 5 equivalence fuzz: the subquadratic view/symmetry pipeline (snapped
+// angular orders + canonical view keys + Booth minimal rotation) against the
 // pre-subquadratic reference oracles in views_reference.cpp, bit for bit,
 // over 1000 generated configurations; plus a brute-force Definition 3
 // rotation cross-check of sym(C) and a regression test for the
@@ -159,7 +159,8 @@ TEST(ViewPipeline, FastMatchesReferenceOn1000Configs) {
     EXPECT_EQ(config::symmetry(c), config::detail::symmetry_reference(c))
         << "iter=" << iter;
 
-    // Shared polar tables vs per-call reference angular order.
+    // Cached (SEC center) and owning (occupied center) angular orders vs the
+    // per-call reference angular order.
     const vec2 center = c.sec().center;
     expect_order_bitwise(config::angular_order(c, center),
                          config::detail::angular_order_reference(c, center),

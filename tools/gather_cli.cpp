@@ -263,6 +263,11 @@ int main(int argc, char** argv) {
   } else {
     pts = make_workload(o, workload_rng);
   }
+  // The class on the workload line is output, so this is a full
+  // classification of the start, separate from the run's own: at class A it
+  // is one more Lemma 3.4 sweep over every occupied center.  It runs before
+  // sim::run installs its profiling session, so GATHER_PROF does not count
+  // it.
   const config::configuration c0(pts);
   std::printf("workload:   %s  (n=%zu, |U|=%zu, class %s)\n",
               o.points_file.empty() ? o.workload.c_str() : o.points_file.c_str(),

@@ -74,8 +74,7 @@ verdict check(const instance& in) {
   const auto res = sim::run(spec);
 
   const bool started_bivalent =
-      config::classify(config::configuration(in.points)).cls ==
-      config::config_class::bivalent;
+      config::is_bivalent(config::configuration(in.points));
   verdict v;
   if (started_bivalent) return v;  // unsolvable by design; skip
   if (res.status != sim::sim_status::gathered) {

@@ -34,8 +34,8 @@ class polar_ref {
   std::vector<std::size_t> take() &&;
 };
 
-const std::vector<std::size_t>& angular_order_of_occupied(
-    const configuration& c, std::size_t i);
+const std::vector<std::size_t>& angles_about_center_slot(
+    const configuration& c);
 polar_ref angular_order_ref(const configuration& c, point center);
 void consume(std::size_t n);
 
@@ -58,7 +58,7 @@ std::size_t stale_after_branch(configuration& c, point p, bool grow) {
 
 // Violation: free-function accessors backed by the same cache dangle too.
 std::size_t stale_angular_order(configuration& c, double tol) {
-  const std::vector<std::size_t>& order = angular_order_of_occupied(c, 0);
+  const std::vector<std::size_t>& order = angles_about_center_slot(c);
   c.set_tol_refresh(tol);
   return order.size();  // expect(R6)
 }
@@ -96,7 +96,7 @@ std::size_t pointer_retarget_is_clean(configuration& c, point p) {
   return vp->size();
 }
 
-// Violation: a by-value polar_ref may alias the polar-order cache slot; it
+// Violation: a by-value polar_ref may alias the Def. 4 angular-order slot; it
 // dangles across mutations exactly like a reference.
 std::size_t stale_polar_ref(configuration& c, point p) {
   const polar_ref order = angular_order_ref(c, p);

@@ -12,7 +12,7 @@ Rules (diagnosed as path:line: Rn: message, same contract as gather-lint):
 
   R6  Reference invalidation.  A local reference or pointer obtained from a
       generation-cached accessor (`configuration::all_views`,
-      `config::angular_order_of_occupied`, `config::angular_order_ref`,
+      `config::detail::angles_about_center_slot`, `config::angular_order_ref`,
       `configuration::derived`) or from `columnar_table::add_column` must
       not be used after a statement that calls an invalidating mutator on
       the same object (`set_position`, `apply_moves`, `insert_robot`,
@@ -139,7 +139,7 @@ def is_ident(text):
 # `add_column` are member calls.
 R6_SOURCES = {
     "all_views",
-    "angular_order_of_occupied",
+    "angles_about_center_slot",
     "angular_order_ref",
     "derived",
     "add_column",
@@ -156,8 +156,9 @@ R6_MUTATORS = {
 
 
 # Sources whose BY-VALUE result still aliases cache storage: a
-# `config::polar_ref` holds a pointer into the polar-order slot when the
-# requested center hits the cache.  `.take()` detaches into owned storage.
+# `config::polar_ref` holds a pointer into the Def. 4 angular-order slot when
+# the requested center is the SEC center.  `.take()` detaches into owned
+# storage.
 R6_BY_VALUE_ALIAS_SOURCES = {
     "angular_order_ref",
 }

@@ -40,6 +40,11 @@ Rules (diagnosed as path:line: Rn: message):
       raw-point-access shim this rule used to flag was removed in PR 7;
       the fixture keeps the dead token as a negative case.)
 
+  R9  No GTEST_SKIP under tests/: a skipped tier-1 test reports as a pass,
+      so a data-dependent skip silently drops its check.  Tests assert
+      their preconditions, or construct inputs that meet them.  R9 cannot
+      be suppressed.
+
 Suppression: append `// gather-lint: allow(Rn)` to the offending line, or
 put it in a comment on the line directly above.  Multiple rules:
 `allow(R2,R3)`.
@@ -347,6 +352,25 @@ def check_r5(src, report):
 
 
 # ---------------------------------------------------------------------------
+# R9: skipped tests under tests/
+# ---------------------------------------------------------------------------
+
+R9_PATTERN = re.compile(r"\bGTEST_SKIP\b")
+# Rules an allow() annotation cannot silence.
+UNSUPPRESSIBLE = {"R9"}
+
+
+def check_r9(src, report):
+    for m in R9_PATTERN.finditer(src.code):
+        report(
+            "R9",
+            src.line_of(m.start()),
+            "GTEST_SKIP in a test: a skip reports as a pass and drops the "
+            "check; assert the precondition or construct an input that meets it",
+        )
+
+
+# ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
 
@@ -363,6 +387,8 @@ def rules_for(rel):
         rules.append(check_r4)
     if not rel.startswith("src/config/"):
         rules.append(check_r5)
+    if rel.startswith("tests/"):
+        rules.append(check_r9)
     return rules
 
 
@@ -390,7 +416,7 @@ def lint_tree(root, paths):
                 src = source_file(rel, fh.read())
 
             def report(rule, line, message, src=src):
-                if not src.is_allowed(rule, line):
+                if rule in UNSUPPRESSIBLE or not src.is_allowed(rule, line):
                     diagnostics.append((src.rel, line, rule, message))
 
             for check in rules_for(src.rel):
@@ -414,7 +440,7 @@ def self_test():
 
     # Only this pass's own rules: R6-R8 markers in the shared fixture corpus
     # belong to gather_analyze.py --self-test.
-    expect_pat = re.compile(r"expect\((R[1-5])\)")
+    expect_pat = re.compile(r"expect\((R[1-5]|R9)\)")
     expected = set()
     n_allow = 0
     for dirpath, _, filenames in os.walk(fixtures):
@@ -430,7 +456,10 @@ def self_test():
                     if "gather-lint: allow(" in line:
                         n_allow += 1
 
-    got = {(rel, line, rule) for rel, line, rule, _ in lint_tree(fixtures, ["src"])}
+    got = {
+        (rel, line, rule)
+        for rel, line, rule, _ in lint_tree(fixtures, ["src", "tests"])
+    }
 
     ok = True
     for miss in sorted(expected - got):
@@ -446,7 +475,7 @@ def self_test():
         print("self-test: fixtures exercise no allow() suppression")
         ok = False
     rules_seen = {rule for _, _, rule in expected}
-    for rule in ("R1", "R2", "R3", "R4", "R5"):
+    for rule in ("R1", "R2", "R3", "R4", "R5", "R9"):
         if rule not in rules_seen:
             print(f"self-test: no fixture fires {rule}")
             ok = False
